@@ -29,7 +29,7 @@ import time
 import pytest
 
 from repro.core import ProfileCache, SchemeParameters
-from repro.net import AnnotationStreamServer, AsyncMobileClient
+from repro.net import AnnotationStreamServer, AsyncMobileClient, ServeConfig
 from repro.streaming import ClientCapabilities, MediaServer, SessionRequest
 from repro.telemetry import registry, span_events, spans_to_jsonl
 from repro.video import ArrayClip, make_clip
@@ -64,9 +64,8 @@ def _make_server(clip, engine):
     return server
 
 
-async def _fetch_fleet(media, device, sessions, **server_kwargs):
-    server_kwargs.setdefault("queue_depth", 32)
-    async with AnnotationStreamServer(media, **server_kwargs) as server:
+async def _fetch_fleet(media, device, sessions, config=ServeConfig(queue_depth=32)):
+    async with AnnotationStreamServer(media, config=config) as server:
         clients = [AsyncMobileClient(device) for _ in range(sessions)]
         start = time.perf_counter()
         results = await asyncio.gather(*[
@@ -136,9 +135,12 @@ def test_network_throughput(report, workload, device):
     media = _make_server(clip, "chunked")
     capped_results, capped_elapsed = asyncio.run(_fetch_fleet(
         media, device, SESSIONS,
-        max_sessions=max(2, SESSIONS // 4),
-        accept_queue=SESSIONS,
-        accept_timeout_s=120.0,
+        ServeConfig(
+            queue_depth=32,
+            max_sessions=max(2, SESSIONS // 4),
+            accept_queue=SESSIONS,
+            accept_timeout_s=120.0,
+        ),
     ))
     assert sum(r.frame_count for r in capped_results) == SESSIONS * n
     assert all(r.attempts == 1 for r in capped_results)

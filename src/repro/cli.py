@@ -43,6 +43,7 @@ import argparse
 import asyncio
 import functools
 import json
+import signal
 import sys
 import time
 from typing import List, Optional
@@ -334,6 +335,20 @@ def _serve_config(args: argparse.Namespace) -> ServeConfig:
     )
 
 
+def _cancel_on_sigterm() -> None:
+    """Make SIGTERM cancel the running main task, the path SIGINT takes.
+
+    The serve loops' ``finally`` blocks then drain and stop exactly as
+    on Ctrl-C, instead of the default action killing the process with
+    its children still running.
+    """
+    task = asyncio.current_task()
+    try:
+        asyncio.get_running_loop().add_signal_handler(signal.SIGTERM, task.cancel)
+    except (NotImplementedError, RuntimeError, ValueError):
+        pass  # no loop signal handlers (non-POSIX loop or worker thread)
+
+
 def cmd_serve(args: argparse.Namespace) -> int:
     """Host library clips on an asyncio TCP annotation-stream server.
 
@@ -364,6 +379,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         service.add_clip(make_clip(name, duration_scale=args.scale))
 
     async def run() -> None:
+        _cancel_on_sigterm()
         srv = service.serve(host=args.host, port=args.port, config=config)
         await srv.start()
         host, port = srv.address
@@ -388,7 +404,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     try:
         with _maybe_profile(args.profile):
             asyncio.run(run())
-    except KeyboardInterrupt:
+    except (KeyboardInterrupt, asyncio.CancelledError):
         print("server stopped")
     return 0
 
@@ -411,6 +427,8 @@ def _serve_fleet(args: argparse.Namespace, names: List[str],
 
     async def run() -> None:
         host, port = await coordinator.start()
+        # Only now: forked shards must not inherit the loop's handler.
+        _cancel_on_sigterm()
         try:
             print(f"fleet of {args.shards} shard(s) serving {len(names)} "
                   f"clip(s); router on {host}:{port}", flush=True)
@@ -435,7 +453,7 @@ def _serve_fleet(args: argparse.Namespace, names: List[str],
     try:
         with _maybe_profile(args.profile):
             asyncio.run(run())
-    except KeyboardInterrupt:
+    except (KeyboardInterrupt, asyncio.CancelledError):
         print("fleet stopped")
     except FleetError as exc:
         print(f"error: {exc}", file=sys.stderr)

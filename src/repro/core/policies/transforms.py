@@ -8,12 +8,12 @@ a 256-entry tone-curve LUT (:class:`LutTransform`, HEBS) or a resolution
 downscale plus gain (:class:`SpatialTransform`).
 
 Every transform offers the same two application surfaces the streaming
-stack uses: :meth:`PixelTransform.apply_batch` for the chunked engines
+stack uses: :meth:`PixelTransform.apply_batch` for the chunked engine
 (``(N, H, W, 3)`` uint8 in, uint8 out, per-frame clipped fractions
 alongside) and :meth:`PixelTransform.apply_frame` for the per-frame
 reference path.  All transforms are elementwise per *frame*, so a batch
 may be split at any frame boundary without changing the output — the
-property the chunked/threads/processes engines rely on.
+property the chunked engine relies on.
 """
 
 from __future__ import annotations

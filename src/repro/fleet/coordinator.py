@@ -53,12 +53,15 @@ def _mp_context():
 class _Worker:
     """One spawned shard process plus its lifecycle pipe."""
 
-    def __init__(self, spec: WorkerSpec, ctx):
+    def __init__(self, spec: WorkerSpec, ctx, siblings: Tuple):
         self.spec = spec
         self.conn, child_conn = ctx.Pipe()
+        # A forked child inherits the parent ends of its own pipe and of
+        # every earlier sibling's; it closes them so that each pipe hits
+        # EOF when the parent dies.
         self.process = ctx.Process(
             target=worker_main,
-            args=(spec, child_conn),
+            args=(spec, child_conn, (self.conn, *siblings)),
             name=f"repro-fleet-{spec.shard_id}",
             daemon=True,
         )
@@ -194,7 +197,9 @@ class FleetCoordinator:
                     port=0,
                     config=self.config,
                 )
-                self._workers[shard_id] = _Worker(spec, ctx)
+                self._workers[shard_id] = _Worker(
+                    spec, ctx, tuple(w.conn for w in self._workers.values())
+                )
             for shard_id, worker in self._workers.items():
                 worker.await_ready(self.startup_timeout_s)
                 record_event("fleet_shard_ready", shard=shard_id,

@@ -75,14 +75,19 @@ class WorkerSpec:
         return base.replace(portable_tokens=True)
 
 
-def worker_main(spec: WorkerSpec, conn) -> None:
+def worker_main(spec: WorkerSpec, conn, parent_ends) -> None:
     """Child-process entry point: serve ``spec`` until told to stop.
 
     ``conn`` is the child end of a :class:`multiprocessing.Pipe`; the
-    protocol is described in the module docstring.  Never raises — a
-    failure to build or bind is reported as ``("error", message)`` and
-    the process exits.
+    protocol is described in the module docstring.  ``parent_ends``
+    are the parent-side connections a forked child inherits (its own
+    pipe's and its earlier siblings'); they are closed first, so the
+    parent's death closes the last write end and ``conn`` sees EOF.
+    Never raises — a failure to build or bind is reported as
+    ``("error", message)`` and the process exits.
     """
+    for end in parent_ends:
+        end.close()
     try:
         asyncio.run(_serve(spec, conn))
     except Exception as exc:  # noqa: BLE001 - report, don't traceback-spam

@@ -25,8 +25,9 @@ Both are frozen: validated once in ``__post_init__``, then shared
 freely across threads, event loops and (for :class:`ServeConfig`)
 pickled into worker processes.  Derive variants with :meth:`replace`.
 
-The old per-call keyword spellings keep working through deprecation
-shims on the call sites; new code should construct a config object.
+They are the only spelling: the entry points take no loose knob
+keywords, so a misplaced ``queue_depth=`` or ``max_retries=`` fails with
+Python's own ``TypeError``.
 """
 
 from __future__ import annotations

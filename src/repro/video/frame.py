@@ -195,7 +195,5 @@ class Frame:
         raise TypeError("Frame objects are not hashable")
 
     def __repr__(self) -> str:
-        return (
-            f"Frame(index={self.index}, {self.width}x{self.height}, "
-            f"max_lum={self.max_luminance:.3f})"
-        )
+        # O(1): no pixel statistics, so reprs of many frames stay cheap.
+        return f"Frame(index={self.index}, {self.width}x{self.height})"

@@ -13,7 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from repro import telemetry
 from repro.core import (
+    ENGINE_KINDS,
     AnnotationPipeline,
     EngineConfig,
     SchemeParameters,
@@ -23,7 +25,14 @@ from repro.core import (
     resolve_engine,
 )
 from repro.display import ipaq_5555
-from repro.video import ArrayClip, Frame, FrameChunk, VideoClip
+from repro.video import (
+    DEFAULT_CHUNK_SIZE,
+    ArrayClip,
+    Frame,
+    FrameChunk,
+    VideoClip,
+    autotune_chunk_size,
+)
 
 # Small random clips: N frames of identical (H, W), arbitrary uint8 content.
 clip_batches = arrays(
@@ -57,13 +66,19 @@ class TestAnalyzerEquivalence:
 
     @settings(max_examples=10, deadline=None)
     @given(batch=clip_batches)
-    def test_threads_bit_identical_to_perframe(self, batch):
+    def test_untimed_chunked_bit_identical_to_perframe(self, batch):
+        # Tests run with telemetry on, so map_chunks times every kernel
+        # call; its untimed loop must give the same statistics too.
         clip = ArrayClip(batch, name="prop")
         reference = StreamAnalyzer("perframe").analyze(clip)
-        threaded = StreamAnalyzer(
-            EngineConfig(kind="threads", chunk_size=3, max_workers=2)
-        ).analyze(clip)
-        for ref, got in zip(reference, threaded):
+        analyzer = StreamAnalyzer(EngineConfig(kind="chunked", chunk_size=3))
+        telemetry.disable()
+        try:
+            untimed = analyzer.analyze(clip)
+        finally:
+            telemetry.enable()
+        assert len(untimed) == len(reference)
+        for ref, got in zip(reference, untimed):
             assert_stats_identical(ref, got)
 
     def test_chunk_size_larger_than_clip(self):
@@ -98,7 +113,7 @@ class TestAnalyzerEquivalence:
             assert_stats_identical(ref, got)
 
     def test_empty_stream_raises_for_all_engines(self):
-        for engine in ("perframe", "chunked", "threads"):
+        for engine in ENGINE_KINDS:
             with pytest.raises(ValueError):
                 StreamAnalyzer(engine).analyze_frames([])
 
@@ -114,7 +129,7 @@ class TestEngineResolution:
         assert resolve_engine(None).kind == "chunked"
 
     def test_string_and_config_pass_through(self):
-        assert resolve_engine("threads").kind == "threads"
+        assert resolve_engine("perframe").kind == "perframe"
         config = EngineConfig(kind="perframe")
         assert resolve_engine(config) is config
 
@@ -126,7 +141,16 @@ class TestEngineResolution:
         with pytest.raises(ValueError):
             EngineConfig(chunk_size=0)
         with pytest.raises(ValueError):
-            EngineConfig(kind="threads", max_workers=0)
+            EngineConfig(kind="threads")
+        with pytest.raises(ValueError):
+            EngineConfig(kind="processes")
+
+    def test_engine_config_resolution(self):
+        config = EngineConfig()
+        assert config.resolved_chunk_size(None) == DEFAULT_CHUNK_SIZE
+        assert config.resolved_chunk_size((24, 32)) == autotune_chunk_size(24, 32)
+        pinned = EngineConfig(chunk_size=7)
+        assert pinned.resolved_chunk_size((24, 32)) == 7
 
 
 class TestBatchedCompensation:

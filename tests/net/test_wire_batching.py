@@ -23,6 +23,7 @@ from repro.net import (
     AsyncMobileClient,
     FaultSpec,
     LossyTransport,
+    ServeConfig,
 )
 from repro.streaming import (
     ClientCapabilities,
@@ -70,8 +71,8 @@ def _client(device, max_retries=8):
     )
 
 
-async def _fetch_through(media, spec, device, max_retries=8, **server_kwargs):
-    async with AnnotationStreamServer(media, **server_kwargs) as server:
+async def _fetch_through(media, spec, device, max_retries=8):
+    async with AnnotationStreamServer(media) as server:
         async with LossyTransport(*server.address, spec=spec) as lossy:
             result = await _client(device, max_retries).fetch(
                 *lossy.address, media.catalog()[0], QUALITY
@@ -79,8 +80,8 @@ async def _fetch_through(media, spec, device, max_retries=8, **server_kwargs):
             return result, lossy.faults_injected
 
 
-async def _fetch_direct(media, device, **server_kwargs):
-    async with AnnotationStreamServer(media, **server_kwargs) as server:
+async def _fetch_direct(media, device, config=None):
+    async with AnnotationStreamServer(media, config=config) as server:
         return await _client(device).fetch(
             *server.address, media.catalog()[0], QUALITY
         )
@@ -140,14 +141,14 @@ class TestBatchedWireUnderFaults:
         behavior; the delivered stream is the same either way."""
         media = _media_server(_clip())
         reference = _reference(media, "batchclip")
-        result = asyncio.run(_fetch_direct(media, device, batch_records=1))
+        result = asyncio.run(_fetch_direct(media, device, ServeConfig(batch_records=1)))
         assert result.attempts == 1
         _assert_bit_identical(result.packets, reference)
 
     def test_tiny_byte_threshold_flushes_every_record(self, device):
         media = _media_server(_clip())
         reference = _reference(media, "batchclip")
-        result = asyncio.run(_fetch_direct(media, device, batch_bytes=1))
+        result = asyncio.run(_fetch_direct(media, device, ServeConfig(batch_bytes=1)))
         _assert_bit_identical(result.packets, reference)
 
     def test_perframe_engine_rides_the_batched_path(self, device):
@@ -165,7 +166,7 @@ class TestBatchedWireUnderFaults:
 
         async def fleet():
             async with AnnotationStreamServer(
-                media, compute_slots=1
+                media, config=ServeConfig(compute_slots=1)
             ) as server:
                 return await asyncio.gather(*[
                     _client(device).fetch(
@@ -182,16 +183,17 @@ class TestBatchConfig:
     def test_thresholds_validated(self):
         media = _media_server(_clip())
         with pytest.raises(ValueError):
-            AnnotationStreamServer(media, batch_records=0)
+            AnnotationStreamServer(media, config=ServeConfig(batch_records=0))
         with pytest.raises(ValueError):
-            AnnotationStreamServer(media, batch_bytes=0)
+            AnnotationStreamServer(media, config=ServeConfig(batch_bytes=0))
 
     def test_compute_slots_validated_and_defaulted(self):
         media = _media_server(_clip())
         with pytest.raises(ValueError):
-            AnnotationStreamServer(media, compute_slots=0)
+            AnnotationStreamServer(media, config=ServeConfig(compute_slots=0))
         assert AnnotationStreamServer(media).compute_slots >= 1
-        assert AnnotationStreamServer(media, compute_slots=2).compute_slots == 2
+        server = AnnotationStreamServer(media, config=ServeConfig(compute_slots=2))
+        assert server.compute_slots == 2
 
 
 class TestFirstByteEnqueued:

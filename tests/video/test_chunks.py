@@ -11,8 +11,10 @@ from repro.video import (
     HeterogeneousFrameError,
     PlaneCache,
     VideoClip,
+    autotune_chunk_size,
     chunk_spans,
 )
+from repro.video.chunks import MAX_AUTOTUNE_CHUNK, MIN_AUTOTUNE_CHUNK
 
 
 def random_batch(n, h=9, w=7, seed=0):
@@ -214,3 +216,24 @@ class TestPlaneCache:
         replacement = PlaneCache(max_bytes=1024)
         clip.plane_cache = replacement
         assert clip.plane_cache is replacement
+
+
+class TestAutotuner:
+    def test_bounds(self):
+        assert autotune_chunk_size(1, 1) == MAX_AUTOTUNE_CHUNK
+        assert autotune_chunk_size(4000, 4000) == MIN_AUTOTUNE_CHUNK
+
+    def test_monotone_in_frame_area(self):
+        sizes = [autotune_chunk_size(h, h) for h in (16, 64, 256, 1024, 4096)]
+        assert sizes == sorted(sizes, reverse=True)
+
+    def test_explicit_target_bytes(self):
+        # 100x100x3 bytes/frame * 8 bytes of float64 scratch per byte
+        per_frame = 100 * 100 * 3 * 8
+        assert autotune_chunk_size(100, 100, target_bytes=per_frame * 20) == 20
+
+    def test_invalid_geometry_rejected(self):
+        with pytest.raises(ValueError):
+            autotune_chunk_size(0, 100)
+        with pytest.raises(ValueError):
+            autotune_chunk_size(100, 100, target_bytes=0)

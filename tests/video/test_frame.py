@@ -171,6 +171,16 @@ class TestFrameDunder:
     def test_repr_mentions_size(self):
         assert "4x2" in repr(Frame.solid_gray(2, 4, 0))
 
+    def test_repr_never_touches_luminance(self, monkeypatch):
+        frame = Frame.solid_gray(2, 4, 0, index=3)
+
+        def boom(self):
+            raise AssertionError("repr computed luminance")
+
+        monkeypatch.setattr(Frame, "luminance", property(boom))
+        assert repr(frame) == "Frame(index=3, 4x2)"
+        assert frame._luminance is None
+
     def test_normalized_range(self, dark_frame):
         values = dark_frame.normalized()
         assert values.min() >= 0.0 and values.max() <= 1.0
