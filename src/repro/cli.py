@@ -399,13 +399,14 @@ def cmd_serve(args: argparse.Namespace) -> int:
             completed = await srv.drain(args.drain_timeout)
             print("drained cleanly" if completed
                   else "drain deadline hit; stragglers cancelled", flush=True)
+            print("server stopped", flush=True)
             _flight_tail_dump(args.flight_tail)
 
     try:
         with _maybe_profile(args.profile):
             asyncio.run(run())
     except (KeyboardInterrupt, asyncio.CancelledError):
-        print("server stopped")
+        pass  # run() already drained and printed the stop line
     return 0
 
 
@@ -454,7 +455,7 @@ def _serve_fleet(args: argparse.Namespace, names: List[str],
         with _maybe_profile(args.profile):
             asyncio.run(run())
     except (KeyboardInterrupt, asyncio.CancelledError):
-        print("fleet stopped")
+        pass  # run() already stopped the fleet and printed the stop line
     except FleetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -392,10 +392,11 @@ class AnnotatedStream:
         peak byte is >= the LUT's clip code — so the clipped fraction is
         a histogram tail sum over total pixels, bit-identical to the
         pixel-path reduction (both divide the same integer count by the
-        same pixel total in float64).  Computed once per stream, O(256)
-        per frame; returns ``None`` when profile stats are unavailable
-        or the track is not gain-only.  Fills the same
-        ``_clipped_fractions`` cache the quality metrics use.
+        same pixel total in float64).  Computed once per stream as one
+        stacked tail sum over the clipping frames' histograms; returns
+        ``None`` when profile stats are unavailable or the track is not
+        gain-only.  Fills the same ``_clipped_fractions`` cache the
+        quality metrics use.
         """
         if not self._all_gain or self._profile_stats is None:
             return None
@@ -405,16 +406,20 @@ class AnnotatedStream:
                 return None  # mixed resolutions: per-frame path handles it
             npix = int(shape[0]) * int(shape[1])
             fractions = np.zeros(self.frame_count)
-            for i, stats in enumerate(self._profile_stats):
-                gain = float(self._gains[i])
-                if gain <= 1.0:
-                    continue
-                counts = stats.channel_histogram.counts
-                if int(counts.sum()) != npix:
+            clipping = np.flatnonzero(self._gains > 1.0)
+            if clipping.size:
+                counts = np.stack([
+                    self._profile_stats[i].channel_histogram.counts for i in clipping
+                ])
+                if np.any(counts.sum(axis=1).astype(np.int64) != npix):
                     return None  # weighted/partial histograms: no shortcut
-                _, clip_code = gain_lut(gain)
-                if clip_code < len(counts):
-                    fractions[i] = int(counts[clip_code:].sum()) / npix
+                # tails[:, k] == counts[:, k:].sum(axis=1); integer counts
+                # below 2**53 sum exactly in float64 in any order.
+                tails = np.cumsum(counts[:, ::-1], axis=1)[:, ::-1]
+                distinct, which = np.unique(self._gains[clipping], return_inverse=True)
+                codes = np.array([gain_lut(g)[1] for g in distinct])[which]
+                rows = np.flatnonzero(codes < counts.shape[1])
+                fractions[clipping[rows]] = tails[rows, codes[rows]] / npix
             self._clipped_fractions = fractions
         return self._clipped_fractions
 

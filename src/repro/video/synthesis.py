@@ -15,26 +15,27 @@ of the frame index, so :class:`~repro.video.clip.LazyClip` re-reads agree.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .frame import Frame
+from .frame import MAX_CHANNEL, Frame
 
 #: Default synthesis resolution (width, height).  Kept small so that a ten
 #: title library sweeps in seconds; the algorithms are resolution-agnostic.
 DEFAULT_RESOLUTION: Tuple[int, int] = (96, 72)
 
 
-def _tint(luminance: np.ndarray, tint: Tuple[float, float, float]) -> Frame:
-    """Colorize a luminance map with per-channel gains, preserving max Y.
+def _tint_gains(tint: Tuple[float, float, float]) -> Tuple[float, float, float]:
+    """Per-channel gains of ``tint``, normalized to preserve luminance.
 
     The gains are normalized so that the BT.601-weighted sum of the channel
     gains is 1: a pixel with luminance ``y`` keeps luminance ``y`` after
     tinting (up to uint8 rounding), which keeps scene luminance scripts
-    honest.
+    honest.  Gains are then scaled down so the largest maps 1.0 -> 1.0.
     """
     r, g, b = tint
     norm = 0.299 * r + 0.587 * g + 0.114 * b
@@ -45,9 +46,37 @@ def _tint(luminance: np.ndarray, tint: Tuple[float, float, float]) -> Frame:
     peak = gains.max()
     if peak > 1.0:
         gains = gains / peak
+    return tuple(float(gain) for gain in gains)
+
+
+def _tint(luminance: np.ndarray, gains: Sequence[float]) -> Frame:
+    """Colorize a luminance map with per-channel ``gains`` (see :func:`_tint_gains`).
+
+    Byte-identical to ``Frame(np.clip(luminance, 0, 1)[..., None] * gains)``:
+    every pixel goes through the same float operations in the same order
+    (clip, scale, saturate, x255, round half to even, truncate), but each
+    channel is computed on a planar scratch rather than broadcast over a
+    trailing size-3 axis, and once per distinct gain.  The saturating clip
+    is skipped for a gain in [0, 1], where it cannot change a value: the
+    product of two floats in [0, 1] stays in [0, 1] under round-to-nearest.
+    """
     lum = np.clip(luminance, 0.0, 1.0)
-    rgb = lum[..., None] * gains[None, None, :]
-    return Frame(rgb)
+    pixels = np.empty(lum.shape + (3,), dtype=np.uint8)
+    plane = np.empty(lum.shape)
+    codes = np.empty(lum.shape, dtype=np.uint8)
+    for c, gain in enumerate(gains):
+        if any(gains[k] == gain for k in range(c)):
+            continue  # written along with an earlier, equal gain
+        np.multiply(lum, gain, out=plane)
+        if not 0.0 <= gain <= 1.0:
+            np.clip(plane, 0.0, 1.0, out=plane)
+        plane *= MAX_CHANNEL
+        np.rint(plane, out=plane)
+        codes[...] = plane
+        for k in range(c, len(gains)):
+            if k == c or gains[k] == gain:
+                pixels[..., k] = codes
+    return Frame(pixels)
 
 
 class SceneGenerator:
@@ -69,6 +98,7 @@ class SceneGenerator:
         self.duration = int(duration)
         self.width, self.height = resolution
         self.tint = tint
+        self._gains = _tint_gains(tint)
         self.seed = seed
         self.rng = np.random.default_rng(seed)
         self._grid = np.meshgrid(
@@ -86,7 +116,7 @@ class SceneGenerator:
         """Render local frame ``i`` (0-based within the scene)."""
         if not 0 <= i < self.duration:
             raise IndexError(f"scene frame {i} out of range [0, {self.duration})")
-        return _tint(self.luminance_map(i), self.tint)
+        return _tint(self.luminance_map(i), self._gains)
 
 
 class DarkScene(SceneGenerator):
@@ -134,26 +164,38 @@ class DarkScene(SceneGenerator):
         self.glow_center = self.rng.uniform(0.3, 0.7, size=2)
         # Static low-contrast texture so the dark body is not a flat field.
         self.texture = self.rng.uniform(-0.04, 0.04, size=(self.height, self.width))
-
-    def luminance_map(self, i: int) -> np.ndarray:
+        # The frame-independent body: background, texture and glow, summed
+        # once in the order a frame would sum them.  A broad dim glow fills
+        # the mid-tones (street light, moonlit fog): its gradual falloff is
+        # what makes the luminance quantiles drop smoothly as the clipping
+        # budget grows.
         xs, ys = self._grid
-        lum = np.full((self.height, self.width), self.background)
-        lum += self.texture
-        phase = i / max(self.duration - 1, 1)
-        # A broad dim glow fills the mid-tones (street light, moonlit fog):
-        # its gradual falloff is what makes the luminance quantiles drop
-        # smoothly as the clipping budget grows.
+        body = np.full((self.height, self.width), background)
+        body += self.texture
         gx, gy = self.glow_center
         gd2 = (xs - gx) ** 2 + (ys - gy) ** 2
-        lum += (self.glow_level - self.background) * np.exp(
-            -gd2 / (2 * self.glow_sigma**2)
-        )
-        for center, vel in zip(self.centers, self.velocities):
-            cx = center[0] + self.drift * vel[0] * math.sin(2 * math.pi * phase)
-            cy = center[1] + self.drift * vel[1] * math.cos(2 * math.pi * phase)
-            d2 = (xs - cx) ** 2 + (ys - cy) ** 2
-            lum += (self.highlight - self.background) * np.exp(-d2 / (2 * self.spot_sigma**2))
-        return np.clip(lum, 0.0, self.highlight)
+        body += (glow_level - background) * np.exp(-gd2 / (2 * glow_sigma**2))
+        self._body = body
+        # Every row of xs (column of ys) is the same linspace.
+        self._x, self._y = xs[0], ys[:, 0]
+
+    def luminance_map(self, i: int) -> np.ndarray:
+        angle = 2 * math.pi * (i / max(self.duration - 1, 1))
+        swing = self.drift * self.velocities
+        cx = self.centers[:, 0] + swing[:, 0] * math.sin(angle)
+        cy = self.centers[:, 1] + swing[:, 1] * math.cos(angle)
+        # All spots at once, (n_spots, H, W).  -(dx^2 + dy^2) is summed as
+        # (-dy^2) + (-dx^2): negation is exact.
+        spots = np.add(-((self._y - cy[:, None]) ** 2)[:, :, None],
+                       -((self._x - cx[:, None]) ** 2)[:, None, :])
+        spots /= 2 * self.spot_sigma**2
+        np.exp(spots, out=spots)
+        spots *= self.highlight - self.background
+        # One spot at a time, in spot order: float addition is not associative.
+        lum = self._body.copy()
+        for spot in spots:
+            lum += spot
+        return np.clip(lum, 0.0, self.highlight, out=lum)
 
 
 class BrightScene(SceneGenerator):
@@ -176,12 +218,14 @@ class BrightScene(SceneGenerator):
         self.background = background
         self.variation = variation
         self.texture = self.rng.uniform(-1.0, 1.0, size=(self.height, self.width))
+        # The frame-independent part of every frame's sum.
+        self._body = background + variation * self.texture
 
     def luminance_map(self, i: int) -> np.ndarray:
         phase = i / max(self.duration - 1, 1)
         shimmer = 0.5 * self.variation * math.sin(2 * math.pi * 2 * phase)
-        lum = self.background + self.variation * self.texture + shimmer
-        return np.clip(lum, 0.0, 1.0)
+        lum = self._body + shimmer
+        return np.clip(lum, 0.0, 1.0, out=lum)
 
 
 class GradientScene(SceneGenerator):
@@ -425,7 +469,7 @@ class ScriptedClipFactory:
         """Ground-truth scene id containing frame ``index``."""
         if not 0 <= index < self.frame_count:
             raise IndexError(f"frame {index} out of range [0, {self.frame_count})")
-        return int(np.searchsorted(self.scene_starts, index, side="right") - 1)
+        return bisect.bisect_right(self.scene_starts, index) - 1
 
     def __call__(self, index: int) -> Frame:
         scene = self.scene_of(index)

@@ -139,6 +139,30 @@ class TestHistogramFractions:
         assert bare._histogram_fractions() is None
         assert np.array_equal(via_hist, bare._all_clipped_fractions())
 
+    def test_mixed_gains_match_pixel_path_and_frame_loop(self, pipeline,
+                                                         library_clip, device):
+        from repro.core.compensation import gain_lut
+
+        stream = pipeline.build_stream(library_clip, device)
+        gains = stream.track.per_frame_gains()
+        assert (gains <= 1.0).any() and (gains > 1.0).any()
+        via_hist = stream._histogram_fractions()
+
+        bare = AnnotatedStream(
+            clip=library_clip, track=stream.track, device=device
+        )
+        assert np.array_equal(via_hist, bare._all_clipped_fractions())
+
+        # The per-frame loop the stacked tail sum replaced.
+        height, width = library_clip.frame_shape()
+        loop = np.zeros(len(gains))
+        for i, stats in enumerate(stream._profile_stats):
+            if gains[i] > 1.0:
+                counts = stats.channel_histogram.counts
+                _, clip_code = gain_lut(float(gains[i]))
+                loop[i] = int(counts[clip_code:].sum()) / (height * width)
+        assert np.array_equal(via_hist, loop)
+
     def test_quality_metrics_share_the_cache(self, pipeline, tiny_clip, device):
         stream = pipeline.build_stream(tiny_clip, device)
         bare = AnnotatedStream(

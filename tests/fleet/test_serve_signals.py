@@ -4,7 +4,8 @@ Each test launches the real CLI in a subprocess, reads the shard pids it
 prints, stops the parent, and checks that every shard process is gone:
 
 * SIGTERM takes the graceful path SIGINT takes (router close, shard
-  drain, ``fleet stopped``);
+  drain, ``fleet stopped``), and either prints the stop line exactly
+  once;
 * SIGKILL gives the parent no say at all, so the shards must notice its
   death on their own (their lifecycle pipe reaches EOF).
 """
@@ -42,17 +43,21 @@ def _gone(pid):
         return True
 
 
-def _launch_fleet():
+def _launch_serve(*extra):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.abspath(SRC_DIR)] + [p for p in [env.get("PYTHONPATH")] if p]
     )
-    proc = subprocess.Popen(
+    return subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "themovie",
-         "--scale", "0.05", "--shards", "2", "--port", "0",
-         "--drain-timeout", str(DRAIN_TIMEOUT_S)],
+         "--scale", "0.05", "--port", "0",
+         "--drain-timeout", str(DRAIN_TIMEOUT_S), *extra],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env,
     )
+
+
+def _launch_fleet():
+    proc = _launch_serve("--shards", "2")
     pids, lines = [], []
     deadline = time.monotonic() + 120.0
     while len(pids) < 2 and time.monotonic() < deadline:
@@ -92,7 +97,31 @@ def test_sigterm_stops_every_shard():
     out, survivors = _stop_and_collect(proc, pids, signal.SIGTERM)
     assert survivors == []
     assert proc.returncode == 0
-    assert "fleet stopped" in out
+    assert out.count("fleet stopped") == 1, out
+
+
+def test_sigint_stops_every_shard_with_one_stop_line():
+    proc, pids = _launch_fleet()
+    out, survivors = _stop_and_collect(proc, pids, signal.SIGINT)
+    assert survivors == []
+    assert proc.returncode == 0
+    assert out.count("fleet stopped") == 1, out
+
+
+@pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM])
+def test_single_server_prints_one_stop_line(signum):
+    proc = _launch_serve()
+    try:
+        line = proc.stdout.readline()
+        assert line.startswith("serving "), line
+        proc.send_signal(signum)
+        out, _ = proc.communicate(timeout=DRAIN_TIMEOUT_S + 30.0)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 0
+    assert out.count("drained cleanly") == 1, out
+    assert out.count("server stopped") == 1, out
 
 
 def test_shards_exit_when_the_parent_is_killed():

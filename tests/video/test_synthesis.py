@@ -14,6 +14,7 @@ from repro.video.synthesis import (
     SceneSpec,
     ScriptedClipFactory,
     _tint,
+    _tint_gains,
 )
 
 RES = (32, 24)
@@ -22,23 +23,25 @@ RES = (32, 24)
 class TestTint:
     def test_neutral_tint_preserves_luminance(self):
         lum = np.linspace(0, 1, 12).reshape(3, 4)
-        frame = _tint(lum, (1.0, 1.0, 1.0))
+        frame = _tint(lum, _tint_gains((1.0, 1.0, 1.0)))
         assert frame.luminance == pytest.approx(lum, abs=2 / 255)
 
     def test_color_tint_never_exceeds_unity_channels(self):
         lum = np.ones((2, 2))
-        frame = _tint(lum, (0.8, 0.8, 1.2))
+        frame = _tint(lum, _tint_gains((0.8, 0.8, 1.2)))
         assert frame.pixels.max() <= 255
 
     def test_tint_scales_luminance_down_at_most(self):
         lum = np.full((2, 2), 0.5)
-        frame = _tint(lum, (0.5, 0.5, 2.0))
+        frame = _tint(lum, _tint_gains((0.5, 0.5, 2.0)))
         # Peak-normalized gains can only dim, never brighten.
         assert frame.max_luminance <= 0.5 + 1 / 255
 
     def test_invalid_tint_rejected(self):
         with pytest.raises(ValueError):
-            _tint(np.ones((2, 2)), (0.0, 0.0, 0.0))
+            _tint_gains((0.0, 0.0, 0.0))
+        with pytest.raises(ValueError):
+            DarkScene(duration=4, resolution=RES, tint=(0.0, 0.0, 0.0))
 
 
 class TestSceneGeneratorBasics:
